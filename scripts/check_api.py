@@ -145,11 +145,6 @@ def main() -> int:
         "per_op_overhead" in latency_params,
         "graph_latency(...per_op_overhead...) missing",
     )
-    net_latency_params = inspect.signature(frontend.network_latency).parameters
-    check(
-        "fold_fusible" in net_latency_params,
-        "network_latency(...fold_fusible...) missing",
-    )
     check(
         callable(getattr(repro.TuningSession, "add_graph", None)),
         "TuningSession.add_graph missing",
@@ -186,15 +181,6 @@ def main() -> int:
         "evaluator",
     ):
         check(field in cfg_fields, f"TuneConfig.{field} missing")
-    # The old int-only knob must keep working through the kwargs shim.
-    check(
-        repro.TuneConfig.from_kwargs(search_workers=2).search_workers == 2,
-        "TuneConfig.from_kwargs(search_workers=...) broken",
-    )
-    check(
-        repro.TuneConfig.from_kwargs(evaluator="processes").evaluator == "processes",
-        "TuneConfig.from_kwargs(evaluator=...) broken",
-    )
 
     tune_params = inspect.signature(repro.tune).parameters
     for param in ("func", "target", "config", "database", "telemetry"):
@@ -224,8 +210,7 @@ def main() -> int:
             issubclass(backend, meta.Database),
             f"{backend.__name__} must subclass Database",
         )
-    # Deprecated shims must survive until the next major release.
-    for method in ("lookup", "lookup_key", "record", "replay", "save", "entries"):
+    for method in ("record", "replay", "save", "entries"):
         check(
             callable(getattr(repro.TuningDatabase, method, None)),
             f"TuningDatabase.{method} missing",
@@ -298,8 +283,6 @@ def main() -> int:
     # Every response carries a request-scoped trace id; the health
     # endpoint and metrics passthrough are part of the client contract.
     check("request_id" in response_fields, "CompileResponse.request_id missing")
-    for field in ("metrics", "stats_window"):
-        check(field in serve_fields, f"ServeConfig.{field} missing")
     check(
         callable(getattr(serve.ScheduleServer, "health", None)),
         "ScheduleServer.health missing",
@@ -476,16 +459,12 @@ def main() -> int:
         check(hasattr(obs, name), f"repro.obs.{name} missing")
     for method in (
         "counter", "gauge", "gauge_fn", "histogram", "snapshot",
-        "delta_since", "prometheus_text", "register_collector", "save",
+        "delta_since", "prometheus_text", "save",
     ):
         check(
             callable(getattr(obs_metrics.MetricsRegistry, method, None)),
             f"MetricsRegistry.{method} missing",
         )
-    check(
-        not obs_metrics.MetricsRegistry(enabled=False).enabled,
-        "MetricsRegistry(enabled=False) must stay disabled",
-    )
     hist_params = inspect.signature(
         obs_metrics.MetricsRegistry.histogram
     ).parameters

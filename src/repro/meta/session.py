@@ -124,8 +124,8 @@ class SessionReport:
     #: primitive preconditions) — the §3.3 battery made observable.
     invalid_by_code: Dict[str, int] = field(default_factory=dict)
     #: memoization activity during this run, per cache: hits, misses
-    #: and hit rate (see :mod:`repro.cache`).  The same numbers appear
-    #: as ``cache.<name>.hits`` / ``.misses`` telemetry counters.
+    #: and hit rate (see :mod:`repro.cache`).  The same numbers are
+    #: folded into the metrics registry as ``cache_*_total`` counters.
     cache_stats: Dict[str, Dict[str, float]] = field(default_factory=dict)
     #: flight-recorder activity when observability was on (event/trial
     #: counts + sink path); the full recording is written separately by
@@ -227,9 +227,8 @@ class TuningSession:
         #: (:class:`repro.obs.metrics.MetricsRegistry`) this session
         #: folds cache and evaluator accounting into — the single source
         #: of truth for those numbers when set (the schedule server
-        #: passes its own).  The ``cache.<name>.hits``/``.misses`` and
-        #: ``evaluator.<name>.*`` telemetry counters are kept as
-        #: deprecated spellings of the same windows.
+        #: passes its own).  The ``evaluator.<name>.*`` telemetry
+        #: counters are kept as deprecated spellings of the same window.
         self.metrics = metrics
         #: the flight recorder — built from ``config.obs`` (a no-op
         #: object when observability is off) unless one is injected.
@@ -340,13 +339,6 @@ class TuningSession:
             finally:
                 self.telemetry.set_root(None)
         cache_delta = _cache.delta_since(cache_before)
-        for name, counts in sorted(cache_delta.items()):
-            # Deprecated spellings of the cache window — the canonical
-            # home is the metrics registry (``cache_hits_total{name=}``
-            # via the recorder's fold); kept so existing report readers
-            # keep working.
-            self.telemetry.count(f"cache.{name}.hits", int(counts["hits"]))
-            self.telemetry.count(f"cache.{name}.misses", int(counts["misses"]))
         self.recorder.record_cache_delta(cache_delta)
         self.recorder.close()
         if self.metrics is not None:

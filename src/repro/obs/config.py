@@ -4,9 +4,9 @@
 :class:`~repro.meta.config.TuneConfig` (``TuneConfig(obs=ObsConfig(...))``)
 and is consumed by a :class:`~repro.obs.record.Recorder`.  The default
 is **off** — with ``enabled=False`` every recorder call is a no-op and
-the search hot path pays only a handful of predicate checks (the
-overhead contract is benchmarked in ``scripts/bench_hotpaths.py
---obs-overhead`` and reported in EXPERIMENTS.md).
+the search hot path pays only a handful of predicate checks.  The
+timing harness for the tuning path is ``perfbench/`` (see
+``perfbench/README.md``).
 
 This module imports only the standard library so configuration can be
 constructed anywhere without pulling the compiler stack.

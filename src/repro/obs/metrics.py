@@ -27,13 +27,8 @@ Reading is uniform: ``registry.snapshot()`` returns one JSON-ready
 dict, ``registry.delta_since(snapshot)`` the activity window between
 two snapshots, and :func:`render_prometheus` (also
 ``registry.prometheus_text()``) the standard text exposition format —
-all three work for every instrument type, so dashboards, the
-``serve-report`` CLI and the bench harness share one data shape.
-
-A disabled registry (``MetricsRegistry(enabled=False)``) turns every
-instrument into a no-op that still type-checks — the overhead gate in
-``scripts/bench_hotpaths.py --serve-obs`` measures exactly this
-on/off difference on the warm hit path.
+all three work for every instrument type, so dashboards and the
+``serve-report`` CLI share one data shape.
 """
 
 from __future__ import annotations
@@ -214,8 +209,8 @@ class Histogram:
 
         Bucketing is done by bisecting each *bound* into the sorted
         batch — O(bounds · log n) instead of O(n · log bounds) — so a
-        collector folding a few thousand staged latencies pays tens of
-        bisects, not thousands.  The rolling window receives the batch
+        batch of a few thousand latencies pays tens of bisects, not
+        thousands.  The rolling window receives the batch
         in its original (chronological) order.
         """
         raw = [float(v) for v in values]
@@ -347,52 +342,6 @@ def quantile_from_buckets(
             return prev_bound + fraction * (bound - prev_bound)
         prev_bound, prev_count = bound, count
     return None
-
-
-class _NullInstrument:
-    """The do-nothing instrument a disabled registry hands out."""
-
-    kind = "null"
-    bounds: Tuple[float, ...] = ()
-    value = 0.0
-    count = 0
-    sum = 0.0
-
-    def inc(self, amount: float = 1.0) -> None:
-        pass
-
-    def dec(self, amount: float = 1.0) -> None:
-        pass
-
-    def set(self, value: float) -> None:
-        pass
-
-    def observe(self, value: float) -> None:
-        pass
-
-    def observe_many(self, values: Sequence[float]) -> None:
-        pass
-
-    def cumulative(self) -> List[Tuple[float, int]]:
-        return []
-
-    def quantile(self, q: float) -> Optional[float]:
-        return None
-
-    def window_values(self) -> List[float]:
-        return []
-
-    def window_quantile(self, q: float) -> Optional[float]:
-        return None
-
-    def labels(self, **labels) -> "_NullInstrument":
-        return self
-
-    def to_json(self) -> float:
-        return 0.0
-
-
-_NULL = _NullInstrument()
 
 
 class MetricFamily:
@@ -537,51 +486,21 @@ class MetricsRegistry:
     """A named collection of metric families; the unit of exposition.
 
     One registry per server (the default), or shared across components
-    of one process.  ``enabled=False`` vends no-op instruments — the
-    single switch the overhead bench flips.
+    of one process.
     """
 
-    def __init__(self, namespace: str = "repro", enabled: bool = True):
+    def __init__(self, namespace: str = "repro"):
         self.namespace = namespace
-        self.enabled = bool(enabled)
         self.created_unix = time.time()
         self._lock = threading.Lock()
         self._families: Dict[str, MetricFamily] = {}
         self._fn_families: Dict[str, tuple] = {}
-        self._collectors: List[Callable[[], None]] = []
-
-    def register_collector(self, fn: Callable[[], None]) -> None:
-        """Register a callback run before every :meth:`snapshot` (and
-        therefore every exposition/delta read).
-
-        The batching hook for microsecond-class hot paths: a subsystem
-        stages raw observations in its own GIL-atomic buffer and folds
-        them into real instruments inside its collector, paying one
-        ``deque.append`` per event instead of per-instrument updates.
-        Collector exceptions are swallowed — a broken collector reads
-        as stale, never as a serving failure.
-        """
-        if not self.enabled:
-            return
-        with self._lock:
-            self._collectors.append(fn)
-
-    def _run_collectors(self) -> None:
-        with self._lock:
-            collectors = list(self._collectors)
-        for fn in collectors:
-            try:
-                fn()
-            except Exception:  # noqa: BLE001 — see register_collector
-                pass
 
     # -- family constructors --------------------------------------------
     def _family(
         self, name: str, kind: str, help_text: str,
         labels: Sequence[str], make: Callable[[], object],
     ):
-        if not self.enabled:
-            return _NULL
         labels = tuple(labels)
         with self._lock:
             family = self._families.get(name)
@@ -644,8 +563,6 @@ class MetricsRegistry:
         the same callback-family name replaces its callback; colliding
         with a regular family raises (snapshots merge both dicts, so a
         silent shadow would drop one family from every read view)."""
-        if not self.enabled:
-            return
         with self._lock:
             if name in self._families:
                 raise ValueError(
@@ -681,7 +598,6 @@ class MetricsRegistry:
 
     def snapshot(self) -> dict:
         """Every family as one JSON-ready document (stable key order)."""
-        self._run_collectors()
         doc = {
             "namespace": self.namespace,
             "created_unix": self.created_unix,
@@ -816,11 +732,9 @@ def fold_cache_delta(registry: MetricsRegistry, delta: Dict[str, Dict[str, float
     The canonical spelling of cache accounting: one labeled counter
     family per event kind (``cache_hits_total{name=...}`` etc.).  Both
     the flight recorder and the tuning session route through this, so
-    the registry is the single source of truth; the legacy
-    ``cache.<name>.hits`` Telemetry counters are kept as deprecation
-    shims fed from the same window.
+    the registry is the single source of truth.
     """
-    if not registry.enabled or not delta:
+    if not delta:
         return
     hits = registry.counter(
         "cache_hits_total", "memo cache hits", labels=("name",)
@@ -853,7 +767,7 @@ def fold_evaluator_counters(
     ``meta["evaluators"]`` side channel and the ``evaluator.<name>.*``
     Telemetry counters are fed from the same numbers.
     """
-    if not registry.enabled or not counters:
+    if not counters:
         return
     batches = registry.counter(
         "evaluator_batches_total", "candidate batches evaluated", labels=("backend",)

@@ -58,16 +58,6 @@ class ServeConfig:
     max_entries: Optional[int] = None
     compile_programs: bool = True
     buckets: Optional[BucketSpec] = None
-    #: serving metrics (``repro.obs.metrics``): latency histograms per
-    #: outcome, queue/batch occupancy, database + evaluator + cache
-    #: instruments, and the :meth:`~repro.serve.server.ScheduleServer.health`
-    #: surface.  Off turns every instrument into a no-op — the A/B the
-    #: ``--serve-obs`` overhead bench measures.
-    metrics: bool = True
-    #: rolling-window size for recent-latency accounting: bounds
-    #: ``ServerStats.hit_seconds`` and each latency histogram's window
-    #: of raw observations (the ``health()`` p50/p95/p99 source).
-    stats_window: int = 512
 
     def with_(self, **changes) -> "ServeConfig":
         return dataclasses.replace(self, **changes)
@@ -135,7 +125,8 @@ class CompileResponse:
 
 @dataclass
 class ServerStats:
-    """A point-in-time snapshot of one server's request accounting."""
+    """A point-in-time snapshot of one server's request accounting,
+    read from its metrics registry (:meth:`ScheduleServer.stats`)."""
 
     requests: int = 0
     hits: int = 0
@@ -150,10 +141,10 @@ class ServerStats:
     #: bucket replays that proved infeasible at the concrete shape and
     #: fell back to an exact lookup or a fresh tune (TIR702).
     replay_fallbacks: int = 0
-    #: the most recent zero-search serve latencies, bounded to the
-    #: server's ``ServeConfig.stats_window`` (a rolling window, not the
-    #: full history — the metrics histograms keep the full
-    #: distribution).
+    #: the most recent zero-search serve latencies: the rolling windows
+    #: of the ``hit`` and ``bucket-hit`` latency histograms (each
+    #: bounded to ``repro.obs.metrics.DEFAULT_WINDOW``; the histogram
+    #: buckets keep the full distribution).
     hit_seconds: List[float] = field(default_factory=list)
 
     @property

@@ -23,6 +23,7 @@ from repro.meta import TuneConfig, TuningSession, evolutionary_search, tune
 from repro.meta.feature import extract_features
 from repro.meta.search import SearchStats
 from repro.meta.sketch import Sketch
+from repro.obs.metrics import MetricsRegistry
 from repro.schedule import Schedule, verify
 from repro.sim import SimGPU, Target, estimate
 
@@ -200,14 +201,21 @@ class TestScheduleCopyDeterminism:
 
 class TestSessionObservability:
     def test_session_report_carries_cache_stats(self):
-        session = TuningSession(SimGPU(), TuneConfig(trials=4, seed=0), workers=1)
+        registry = MetricsRegistry()
+        session = TuningSession(
+            SimGPU(), TuneConfig(trials=4, seed=0), workers=1, metrics=registry
+        )
         session.add(ops.matmul(64, 64, 64))
         report = session.run()
         assert report.cache_stats, "expected per-cache hit/miss counters"
         for name, counts in report.cache_stats.items():
             assert set(counts) >= {"hits", "misses"}, name
-        counters = report.telemetry["counters"]
-        cache_counter_names = [k for k in counters if k.startswith("cache.")]
-        assert any(k.endswith(".hits") for k in cache_counter_names)
-        assert any(k.endswith(".misses") for k in cache_counter_names)
         assert "cache_stats" in report.to_json()
+        # The registry is the one counter home for the same window.
+        metrics = registry.snapshot()["metrics"]
+        misses = metrics["cache_misses_total"]["series"]
+        for name, counts in report.cache_stats.items():
+            if counts["misses"]:
+                assert misses[f"name={name}"] == counts["misses"], name
+        counters = report.telemetry["counters"]
+        assert not [k for k in counters if k.startswith("cache.")]

@@ -288,53 +288,6 @@ class TestRegistryReads:
         assert g.value == 0.0
 
 
-class TestCollectors:
-    def test_collector_runs_before_every_snapshot(self):
-        reg = MetricsRegistry()
-        c = reg.counter("staged_total")
-        staged = []
-        reg.register_collector(lambda: c.inc(len(staged)) or staged.clear())
-        staged.extend([1, 2, 3])
-        assert reg.snapshot()["metrics"]["staged_total"]["series"][""] == 3.0
-        # prometheus_text and delta_since read through snapshot() too.
-        staged.extend([1])
-        assert "staged_total 4" in reg.prometheus_text()
-
-    def test_collector_exceptions_are_swallowed(self):
-        reg = MetricsRegistry()
-        reg.counter("fine_total").inc()
-
-        def broken():
-            raise RuntimeError("collector died")
-
-        reg.register_collector(broken)
-        snap = reg.snapshot()  # must not raise
-        assert snap["metrics"]["fine_total"]["series"][""] == 1.0
-
-
-class TestDisabledRegistry:
-    def test_everything_is_noop(self):
-        reg = MetricsRegistry(enabled=False)
-        c = reg.counter("n_total", labels=("outcome",))
-        h = reg.histogram("n_seconds")
-        g = reg.gauge("n_depth")
-        c.labels(outcome="hit").inc()
-        h.observe(1.0)
-        h.observe_many([1.0, 2.0])
-        g.set(3)
-        reg.gauge_fn("n_rates", "", lambda: {"a": 1.0})
-        reg.register_collector(lambda: 1 / 0)
-        snap = reg.snapshot()
-        assert snap["metrics"] == {}
-        assert reg.prometheus_text() == ""
-
-    def test_folds_are_noops_when_disabled(self):
-        reg = MetricsRegistry(enabled=False)
-        fold_cache_delta(reg, {"memo": {"hits": 3}})
-        fold_evaluator_counters(reg, "pool", 4, {"batches": 2})
-        assert reg.snapshot()["metrics"] == {}
-
-
 class TestFolds:
     def test_fold_cache_delta_is_canonical_spelling(self):
         reg = MetricsRegistry()

@@ -10,11 +10,16 @@ than failing the request.
 
 import threading
 
+import numpy as np
+
 from repro.frontend import ops
 from repro.frontend.shapes import BucketSpec
-from repro.meta import Telemetry, TuneConfig
+from repro.meta import Telemetry, TuneConfig, tune
+from repro.runtime import run as run_program
+from repro.runtime.executor import random_args
+from repro.runtime.interp import interpret
 from repro.serve import ScheduleServer, ServeConfig
-from repro.sim import SimGPU
+from repro.sim import SimGPU, estimate
 
 CFG = ServeConfig(
     tune=TuneConfig(trials=4, seed=0),
@@ -70,11 +75,43 @@ class TestBucketHits:
         assert "replay_fallbacks" in payload
 
     def test_telemetry_counter(self):
+        # Bucket hits are counted once, in the metrics registry that
+        # stats() reads; the telemetry carries no serve counters.
         telemetry = Telemetry()
         with ScheduleServer(SimGPU(), CFG, telemetry=telemetry) as server:
             server.compile(_matmul(64))
             server.compile(_matmul(56))
-        assert telemetry.counters.get("serve.bucket_hits") == 1
+            stats = server.stats()
+            series = server.metrics.snapshot()["metrics"][
+                "serve_requests_total"
+            ]["series"]
+        assert stats.bucket_hits == series["outcome=bucket-hit"] == 1
+        assert not [k for k in telemetry.counters if k.startswith("serve.")]
+
+    def test_bucket_served_programs_match_interpreter(self):
+        # Programs replayed from a representative's record at unseen
+        # in-bucket shapes compute what the unscheduled op computes, and
+        # cost at most 1.25x a tune of the exact shape on equal budget.
+        target = SimGPU()
+        with ScheduleServer(target, CFG) as server:
+            server.compile(_conv(8))
+            server.compile(_matmul(64))
+            for func, fp16 in ((_conv(6), False), (_matmul(48), True)):
+                resp = server.compile(func)
+                assert resp.source == "bucket-hit" and resp.trials == 0
+                args = random_args(func, seed=0)
+                oracle = {k: v.copy() for k, v in args.items()}
+                interpret(func, oracle)
+                got = {k: v.copy() for k, v in args.items()}
+                run_program(resp.func, got)
+                tol = 2e-2 if fp16 else 1e-4
+                for name in oracle:
+                    np.testing.assert_allclose(
+                        got[name], oracle[name], rtol=tol, atol=tol
+                    )
+                exact = tune(func, target, CFG.tune)
+                served = estimate(resp.func, target).seconds
+                assert served <= 1.25 * exact.best_report.seconds
 
     def test_exact_serving_unchanged_without_buckets(self):
         with ScheduleServer(SimGPU(), CFG.with_(buckets=None)) as server:

@@ -3,9 +3,11 @@
 The contracts: hammering ``submit()`` from many threads while other
 threads read ``stats()``/``health()``/``metrics.snapshot()`` never
 produces a torn read, the ``serve_requests_total`` counter sums to the
-exact number of responses served, every response carries a unique
-request-scoped trace id even under miss coalescing, and binding a
-metrics registry never changes what a tuning run records.
+exact number of responses served and equals ``stats()`` outcome by
+outcome, every response carries a unique request-scoped trace id even
+under miss coalescing (and its span tree survives the Chrome-trace
+exporter), and binding a metrics registry never changes what a tuning
+run records.
 """
 
 import json
@@ -14,8 +16,8 @@ import threading
 from repro.frontend import ops
 from repro.meta import Telemetry, TuneConfig
 from repro.meta.session import TuningSession
-from repro.obs import ObsConfig, Recorder
-from repro.obs.metrics import MetricsRegistry
+from repro.obs import ObsConfig, Recorder, chrome_trace
+from repro.obs.metrics import DEFAULT_WINDOW, MetricsRegistry
 from repro.serve import ScheduleServer, ServeConfig
 from repro.sim import SimGPU
 
@@ -86,14 +88,12 @@ class TestThreadedSubmitWithReaders:
             assert stats.requests == expected
             series, total = _served_total(server)
             assert total == expected
-            assert series["outcome=hit"] == threads * per_thread
-            assert series["outcome=miss"] == 1
+            assert series["outcome=hit"] == stats.hits == threads * per_thread
+            assert series["outcome=miss"] == stats.misses == 1
             flat = [rid for chunk in ids for rid in chunk]
             assert len(set(flat)) == len(flat), "request ids must be unique"
 
     def test_health_quantiles_match_snapshot_windows(self):
-        from repro.serve.server import _HIT_LATENCY_SAMPLE
-
         with ScheduleServer(SimGPU(), CFG) as server:
             func = _matmul()
             for _ in range(40):
@@ -101,19 +101,10 @@ class TestThreadedSubmitWithReaders:
             health = server.health()
             snap = server.metrics.snapshot()
             series = snap["metrics"]["serve_latency_seconds"]["series"]
-            # Hit latencies are 1-in-N sampled while miss/coalesced are
-            # fully staged; health() replicates each sampled hit N
-            # times so pooled percentiles weight outcomes by true
-            # request volume — mirror that here.
-            window = sorted(
-                v
-                for key, s in series.items()
-                for v in s["window"]
-                for _ in range(
-                    _HIT_LATENCY_SAMPLE if key == "outcome=hit" else 1
-                )
-            )
-            assert window, "sampled hit latencies must reach the window"
+            # Every response's latency is observed once, so health()
+            # pools the windows as they are.
+            window = sorted(v for s in series.values() for v in s["window"])
+            assert len(window) == 40 == health["window_size"]
             for field, q in (
                 ("p50_seconds", 0.50),
                 ("p95_seconds", 0.95),
@@ -154,65 +145,43 @@ class TestCoalescingTraceIds:
             assert total == stats.requests == len(responses)
             assert series.get("outcome=coalesced", 0) == stats.coalesced
 
-
-class TestConcurrentFolds:
-    def test_parallel_folders_never_overdrain(self):
-        # Regression: the count-based drain in _fold_serve_events reads
-        # len() then pops that many items; unserialized concurrent
-        # folders (registry collector + health + inline at the staging
-        # threshold) could together pop more than were staged and
-        # IndexError out of submit() or the tune-resolution loop.
-        with ScheduleServer(SimGPU(), CFG) as server:
-            events = server._m_events
-            assert events is not None
-            total = 20_000
-            errors = []
-            done = threading.Event()
-
-            def producer():
-                staged = events["miss"]
-                for _ in range(total):
-                    staged.append(0.001)
-                done.set()
-
-            def folder():
-                while not done.is_set() or events["miss"]:
-                    try:
-                        server._fold_serve_events()
-                    except IndexError as exc:  # pragma: no cover — the bug
-                        errors.append(exc)
-                        return
-
-            threads = [threading.Thread(target=producer)] + [
-                threading.Thread(target=folder) for _ in range(4)
-            ]
-            for t in threads:
-                t.start()
-            for t in threads:
-                t.join()
-            assert not errors, "concurrent folds over-drained the stage"
-            snap = server.metrics.snapshot()
-            hist = snap["metrics"]["serve_latency_seconds"]["series"][
-                "outcome=miss"
-            ]
-            assert hist["count"] == total, "every staged event folds once"
+    def test_span_trees_round_trip_chrome_trace(self):
+        telemetry = Telemetry()
+        with ScheduleServer(SimGPU(), CFG, telemetry=telemetry) as server:
+            miss = server.compile(_matmul(80))
+            hit = server.compile(_matmul(80))
+        assert (miss.source, hit.source) == ("miss", "hit")
+        for resp in (miss, hit):
+            spans = telemetry.span_tree(resp.request_id)
+            assert spans, resp.source
+            trace = chrome_trace(
+                {"telemetry": telemetry.report()}, request=resp.request_id
+            )
+            slices = [e for e in trace["traceEvents"] if e.get("ph") == "X"]
+            assert {e["args"]["span_id"] for e in slices} == {
+                s.span_id for s in spans
+            }
+            assert any(
+                e["args"].get("request") == resp.request_id for e in slices
+            )
 
 
 class TestBoundedWindows:
     def test_hit_seconds_window_is_bounded(self):
-        cfg = CFG.with_(stats_window=16)
-        with ScheduleServer(SimGPU(), cfg) as server:
+        requests = DEFAULT_WINDOW + 40
+        with ScheduleServer(SimGPU(), CFG) as server:
             func = _matmul()
-            for _ in range(80):
+            for _ in range(requests):
                 server.compile(func)
             stats = server.stats()
-            assert len(stats.hit_seconds) <= 16
-            assert stats.requests == 80
-            # The histogram windows honour the same bound.
+            assert len(stats.hit_seconds) == DEFAULT_WINDOW
+            assert stats.requests == requests
+            # hit_seconds is the hit histogram's window, which keeps
+            # the most recent observations while its count keeps all.
             snap = server.metrics.snapshot()
             series = snap["metrics"]["serve_latency_seconds"]["series"]
-            for doc in series.values():
-                assert len(doc["window"]) <= 16
+            assert series["outcome=hit"]["window"] == stats.hit_seconds
+            assert series["outcome=hit"]["count"] == requests - 1
 
 
 class TestMetricsNeverPerturbRecordings:

@@ -84,13 +84,17 @@ class TestServeBasics:
         assert payload["hits"] == 2 and "coalesce_factor" in payload
 
     def test_telemetry_counters(self):
+        # Request counts live in the metrics registry, read through
+        # stats(); the telemetry carries the per-request spans only.
         telemetry = Telemetry()
         with ScheduleServer(SimGPU(), CFG, telemetry=telemetry) as server:
-            server.compile(_matmul())
-            server.compile(_matmul())
-        assert telemetry.counters.get("serve.misses") == 1
-        assert telemetry.counters.get("serve.hits") == 1
-        assert telemetry.counters.get("serve.tune_runs") == 1
+            miss = server.compile(_matmul())
+            hit = server.compile(_matmul())
+            stats = server.stats()
+        assert (stats.misses, stats.hits, stats.tune_runs) == (1, 1, 1)
+        assert not [k for k in telemetry.counters if k.startswith("serve.")]
+        for resp in (miss, hit):
+            assert telemetry.span_tree(resp.request_id)
 
     def test_recorder_events(self):
         recorder = Recorder(ObsConfig(enabled=True))
